@@ -135,7 +135,6 @@ func main() {
 		if *tracePath != "" {
 			tracer = obs.NewTracer()
 			root = tracer.Start("dwworker:" + *algo)
-			c.Options = mr.JobOptions{Trace: root}
 		}
 		for i := 0; i < *localW; i++ {
 			if _, err := c.AttachLocalWorker(fmt.Sprintf("local%d", i)); err != nil {
@@ -153,11 +152,12 @@ func main() {
 		}
 		t0 := time.Now()
 		var rep *dist.Report
+		cfg := dist.Config{Engine: c, SubtreeLeaves: *subtree, Trace: root}
 		switch *algo {
 		case "con":
-			rep, err = dist.CONCluster(c, *data, b, *subtree)
+			rep, err = dist.CON(src, b, cfg)
 		case "dgreedyabs":
-			rep, err = dist.DGreedyAbsCluster(c, *data, b, *subtree, 0)
+			rep, err = dist.DGreedyAbs(src, b, cfg)
 		default:
 			fatal(fmt.Errorf("unknown -algo %q (con, dgreedyabs)", *algo))
 		}

@@ -163,8 +163,11 @@ func TestClusterWorkersEndToEnd(t *testing.T) {
 
 	tracer := obs.NewTracer()
 	root := tracer.Start("e2e-dgreedyabs")
-	c.Options = mr.JobOptions{Trace: root}
-	rep, err := dist.DGreedyAbsCluster(c, dataPath, 64, 32, 0)
+	src, err := dist.NewFileSource(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := dist.DGreedyAbs(src, 64, dist.Config{Engine: c, SubtreeLeaves: 32, Trace: root})
 	root.End()
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,10 @@ type SliceSource = dist.SliceSource
 type FileSource = dist.FileSource
 
 // Engine executes the distributed algorithms' jobs. The default is an
-// in-process engine; mr.NewCoordinator provides a TCP cluster.
+// in-process engine. A coordinator from mr.NewCoordinator runs
+// DGreedyAbs, DGreedyRel and CON on a TCP cluster when the source is a
+// FileSource every worker can open; other algorithms and in-memory
+// sources return an error naming the job workers could not rebuild.
 type Engine = mr.Engine
 
 // Algorithm selects a thresholding strategy for Build.

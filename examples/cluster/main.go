@@ -60,7 +60,11 @@ func main() {
 	fmt.Printf("cluster up: coordinator %s, %d workers\n", coord.Addr(), workers)
 
 	t0 := time.Now()
-	rep, err := dist.CONCluster(coord, path, budget, subtree)
+	src, err := dist.NewFileSource(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := dist.CON(src, budget, dist.Config{Engine: coord, SubtreeLeaves: subtree})
 	if err != nil {
 		log.Fatal(err)
 	}

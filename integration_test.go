@@ -52,7 +52,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := coord.WaitForWorkers(3, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dist.DGreedyAbsCluster(coord, path, budget, subtree, 0)
+	src, err := dist.NewFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := dist.DGreedyAbs(src, budget, dist.Config{Engine: coord, SubtreeLeaves: subtree})
 	if err != nil {
 		t.Fatal(err)
 	}

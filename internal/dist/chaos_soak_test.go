@@ -72,7 +72,11 @@ func TestChaosSoakClusterDGreedyAbs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cluster, err := DGreedyAbsCluster(c, path, 64, 32, eb)
+	src, err := NewFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := DGreedyAbs(src, 64, Config{Engine: c, SubtreeLeaves: 32, BucketWidth: eb})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,65 +4,68 @@ import (
 	"fmt"
 
 	"dwmaxerr/internal/mr"
-	"dwmaxerr/internal/wavelet"
 )
 
-// Cluster execution: jobs shipped to TCP workers cannot carry Go closures,
-// so cluster-runnable jobs are registered by name in the mr registry and
-// reconstructed from self-describing parameters on every node (the
-// equivalent of distributing a job JAR). Workers read their input from a
-// shared filesystem path — the HDFS stand-in.
+// Cluster execution: TCP workers cannot receive Go closures, so each job
+// that may run on an mr.Coordinator has one constructor taking its Source
+// and a serializable parameter value. The driver calls it to build the
+// Job it runs, and the factory registered under the job's name calls it
+// again on every worker, over the same file reopened from a shared path
+// (the HDFS stand-in) — the equivalent of shipping a job JAR plus its
+// configuration. Drivers stay engine-agnostic: over a FileSource a job
+// carries its Params and runs on either engine; over an in-memory source
+// it carries none and a coordinator rejects it before sending a task.
 
-// ConFileParams parameterizes the cluster CON job.
-type ConFileParams struct {
-	// Path of the binary float64 dataset, readable by every worker.
-	Path string
-	// SubtreeLeaves is the per-chunk sub-tree size (a power of two).
-	SubtreeLeaves int
-}
-
-// ConFileJobName is the registered name of the cluster CON job.
-const ConFileJobName = "dist/con-file"
+// Names of the cluster-capable jobs (also their mr.Job names).
+const (
+	meansJobName       = "chunk-means"
+	dgreedyHistJobName = "dgreedy-hist"
+	dgreedySelJobName  = "dgreedy-select"
+	evalJobName        = "evaluate-maxabs"
+	conJobName         = "con"
+)
 
 func init() {
-	mr.RegisterJob(ConFileJobName, func(params []byte) (*mr.Job, error) {
-		var p ConFileParams
-		if err := mr.GobDecode(params, &p); err != nil {
-			return nil, fmt.Errorf("dist: bad %s params: %w", ConFileJobName, err)
+	registerFileJob(meansJobName, chunkMeansJob)
+	registerFileJob(dgreedyHistJobName, dgreedyHistJob)
+	registerFileJob(dgreedySelJobName, dgreedySelectJob)
+	registerFileJob(evalJobName, evaluateMaxJob)
+	registerFileJob(conJobName, conJob)
+}
+
+// fileParams is the Params blob of a cluster job: the dataset path every
+// worker reopens, plus the constructor's own parameters.
+type fileParams[P any] struct {
+	Path string
+	P    P
+}
+
+// clusterJob stamps job.Params when src is a FileSource, so a coordinator
+// can ship the job to workers. Jobs over other sources are returned
+// unstamped: they run on in-process engines only.
+func clusterJob[P any](job *mr.Job, src Source, p P) *mr.Job {
+	if fs, ok := src.(*FileSource); ok {
+		job.Params = mr.MustGobEncode(fileParams[P]{Path: fs.Path, P: p})
+	}
+	return job
+}
+
+// registerFileJob registers the worker-side factory of a cluster job: it
+// decodes what clusterJob stamped, reopens the file and calls build, the
+// constructor the driver used.
+func registerFileJob[P any](name string, build func(Source, P) *mr.Job) {
+	mr.RegisterJob(name, func(params []byte) (*mr.Job, error) {
+		var fp fileParams[P]
+		if err := mr.GobDecode(params, &fp); err != nil {
+			return nil, fmt.Errorf("dist: bad %s params: %w", name, err)
 		}
-		src, err := NewFileSource(p.Path)
+		src, err := NewFileSource(fp.Path)
 		if err != nil {
 			return nil, err
 		}
-		n := src.N()
-		if !wavelet.IsPowerOfTwo(n) {
-			return nil, fmt.Errorf("dist: %s holds %d values (not a power of two)", p.Path, n)
+		if err := padCheck(src.N()); err != nil {
+			return nil, err
 		}
-		if !wavelet.IsPowerOfTwo(p.SubtreeLeaves) || p.SubtreeLeaves < 2 || p.SubtreeLeaves > n/2 {
-			return nil, fmt.Errorf("dist: invalid sub-tree size %d for n=%d", p.SubtreeLeaves, n)
-		}
-		return conJob(src, n, p.SubtreeLeaves), nil
+		return build(src, fp.P), nil
 	})
-}
-
-// CONCluster builds the conventional synopsis across a TCP worker cluster:
-// the map phase runs on the workers (each reading its chunk from the
-// shared path), the significance selection on the driver.
-func CONCluster(c *mr.Coordinator, path string, budget, subtreeLeaves int) (*Report, error) {
-	if budget < 1 {
-		return nil, fmt.Errorf("dist: budget %d < 1", budget)
-	}
-	src, err := NewFileSource(path)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(ConFileJobName, mr.MustGobEncode(ConFileParams{Path: path, SubtreeLeaves: subtreeLeaves}))
-	if err != nil {
-		return nil, err
-	}
-	syn, err := selectConventional(res.Partitions[0], src.N(), subtreeLeaves, budget)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Synopsis: syn, Jobs: []mr.Metrics{res.Metrics}}, nil
 }

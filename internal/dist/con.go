@@ -66,7 +66,7 @@ func CON(src Source, budget int, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	eng := cfg.engine()
-	res, err := runJob(eng, conJob(src, n, s), cfg.Trace)
+	res, err := runJob(eng, conJob(src, s), cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,10 @@ func CON(src Source, budget int, cfg Config) (*Report, error) {
 }
 
 // conJob builds the CON map job over aligned chunks of size s.
-func conJob(src Source, n, s int) *mr.Job {
-	return &mr.Job{
-		Name:   "con",
+func conJob(src Source, s int) *mr.Job {
+	n := src.N()
+	return clusterJob(&mr.Job{
+		Name:   conJobName,
 		Splits: chunkSplits(n, s),
 		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 			idx, err := chunkIndex(split)
@@ -118,7 +119,7 @@ func conJob(src Source, n, s int) *mr.Job {
 			return nil
 		},
 		Reducers: 1,
-	}
+	}, src, s)
 }
 
 // selectConventional consumes a partition sorted by (averages first,

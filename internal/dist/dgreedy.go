@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"dwmaxerr/internal/errtree"
 	"dwmaxerr/internal/greedy"
@@ -23,10 +24,11 @@ import (
 // computes, for every candidate i, the incoming error its leaves inherit
 // from the deleted root nodes, runs the local greedy once per *distinct*
 // incoming error (log R + 2 runs, Section 5.3), and emits the deletion
-// order compacted into error-bucket histograms keyed by [candidate,
-// bucket] (ErrHistGreedyAbs, Algorithm 3). Level-2 reducers merge the
-// per-candidate streams in descending error order and report the error at
-// position B - i (combineResults, Algorithm 5).
+// order compacted into (bucket, count) histograms keyed by candidate
+// (ErrHistGreedyAbs, Algorithm 3). Each level-2 reduce call receives one
+// candidate's records from every sub-tree, merges them in descending
+// error order and reports the error at position B - i (combineResults,
+// Algorithm 5).
 //
 // Job 2: with the winning candidate known, each worker re-runs the greedy
 // once and emits only the nodes whose removal error exceeds the winning
@@ -144,14 +146,10 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 	if reducers <= 0 {
 		reducers = 4
 	}
-	histJob := &mr.Job{
-		Name:      "dgreedy-hist",
-		Splits:    chunkSplits(n, s),
-		Reducers:  reducers,
-		Partition: histPartition,
-		Map:       dgreedyHistMap(src, n, s, rootCoef, rootOrder, maxCand, eb, rel, cfg.sanity()),
-		Reduce:    makeCombineResults(budget),
-	}
+	histJob := dgreedyHistJob(src, histParams{
+		S: s, Budget: budget, MaxCand: maxCand, Reducers: reducers,
+		RootCoef: rootCoef, RootOrder: rootOrder, Eb: eb, Rel: rel, Sanity: cfg.sanity(),
+	})
 	obsGreedyCandidates.Add(int64(maxCand + 1))
 	// With a checkpoint store, the histogram output — job 1, the dominant
 	// cost of the pipeline — is recorded; a restarted driver replays it
@@ -204,12 +202,10 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 		retainRoot[node] = true
 	}
 	cutoff := minError - 2*eb // one-bucket slack against bucket rounding
-	selJob := &mr.Job{
-		Name:     "dgreedy-select",
-		Splits:   chunkSplits(n, s),
-		Map:      dgreedySelectMap(src, n, s, rootCoef, retainRoot, cutoff, eb, rel, cfg.sanity()),
-		Reducers: 1,
-	}
+	selJob := dgreedySelectJob(src, selParams{
+		S: s, RootCoef: rootCoef, RetainRoot: retainRoot,
+		Cutoff: cutoff, Eb: eb, Rel: rel, Sanity: cfg.sanity(),
+	})
 	selRes, err := runJob(eng, selJob, algSpan)
 	if err != nil {
 		return nil, err
@@ -261,25 +257,26 @@ func dGreedy(src Source, budget int, cfg Config, rel bool) (*Report, error) {
 	return report, nil
 }
 
-// appendHistKey appends the [candidate, descending bucket] shuffle key.
-// The candidate is a memcmp-ordered varint (wire v4): one byte instead
-// of four for the first 241 candidates, without giving up the
-// (candidate asc, bucket desc) sort order the combine reducer relies
-// on. Append-style so the histogram emit loop reuses one scratch buffer
-// per task (the engine copies on emit).
-func appendHistKey(dst []byte, cand int, bucket float64) []byte {
-	dst = mr.AppendOrderedUvarint(dst, uint64(cand))
-	return mr.AppendFloat64(dst, -bucket)
+// appendHistRecord appends a histogram value: the 8-byte bucket and the
+// varint count. The key is the candidate alone, a memcmp-ordered varint
+// (one byte for the first 241 candidates). Append-style so the emit loop
+// reuses one scratch buffer per task (the engine copies on emit).
+func appendHistRecord(dst []byte, h histEntry) []byte {
+	dst = mr.AppendFloat64(dst, h.Bucket)
+	return mr.AppendUvarint(dst, uint64(h.Count))
 }
 
-// histKeyCand decodes the candidate component of appendHistKey and
-// returns the offset where the bucket component starts.
-func histKeyCand(key []byte) (cand int, bucketOff int, err error) {
-	c, n := mr.OrderedUvarint(key)
-	if n <= 0 || len(key) != n+8 {
-		return 0, 0, fmt.Errorf("dist: malformed %d-byte histogram key", len(key))
+// decodeHistRecord reverses appendHistRecord.
+func decodeHistRecord(b []byte) (histEntry, error) {
+	var c uint64
+	n := 0
+	if len(b) > 8 {
+		c, n = mr.Uvarint(b[8:])
 	}
-	return int(c), n, nil
+	if n <= 0 || len(b) != 8+n {
+		return histEntry{}, fmt.Errorf("dist: malformed %d-byte histogram record", len(b))
+	}
+	return histEntry{Bucket: mr.DecodeFloat64(b), Count: int(c)}, nil
 }
 
 // histPartition routes a histogram key by candidate; reduce in uint64
@@ -308,63 +305,69 @@ func bucketize(steps []greedy.Step, eb float64) []histEntry {
 	return out
 }
 
-// makeCombineResults builds the level-2 reducer of Algorithm 5. Keys
-// arrive sorted (candidate asc, bucket desc, sentinel last); the reducer
-// accumulates counts and, at each candidate's sentinel, emits the error at
-// list position budget - candidate.
+// makeCombineResults builds the level-2 reducer of Algorithm 5. Each
+// call receives one candidate's whole histogram, merges it in descending
+// bucket order and emits the error at list position budget - candidate.
+// It keeps no state between calls, so concurrent reduce tasks can share
+// it.
 func makeCombineResults(budget int) mr.ReduceFunc {
-	type state struct {
-		cand   int
-		cum    int
-		answer float64
-		found  bool
-	}
-	states := map[[2]int]*state{}
 	return func(ctx mr.TaskContext, key []byte, values [][]byte, emit mr.Emit) error {
-		sk := [2]int{ctx.TaskID, ctx.Attempt}
-		st := states[sk]
-		cand, bucketOff, err := histKeyCand(key)
-		if err != nil {
-			return err
+		cand, n := mr.OrderedUvarint(key)
+		if n <= 0 || n != len(key) {
+			return fmt.Errorf("dist: malformed %d-byte histogram key", len(key))
 		}
-		if st == nil || st.cand != cand {
-			st = &state{cand: cand}
-			states[sk] = st
-		}
-		bucket := -mr.DecodeFloat64(key[bucketOff:])
-		if math.IsInf(bucket, -1) {
-			// Sentinel: report this candidate's achieved error estimate.
-			ans := st.answer
-			if !st.found {
-				// Fewer total nodes than the budget: everything retained.
-				ans = 0
+		hist := make([]histEntry, len(values))
+		for i, v := range values {
+			h, err := decodeHistRecord(v)
+			if err != nil {
+				return err
 			}
-			return emit(mr.EncodeUint64(uint64(cand)), mr.EncodeFloat64(ans))
+			hist[i] = h
 		}
-		var count int
-		for _, v := range values {
-			c, n := mr.Uvarint(v)
-			if n <= 0 {
-				return fmt.Errorf("dist: malformed histogram count value")
+		sort.Slice(hist, func(a, b int) bool { return hist[a].Bucket > hist[b].Bucket })
+		// Fewer total nodes than the budget leaves everything retained:
+		// error 0.
+		answer := 0.0
+		target := budget - int(cand) // 0-based position of the first non-retained node
+		cum := 0
+		for _, h := range hist {
+			if cum += h.Count; cum > target {
+				answer = h.Bucket
+				break
 			}
-			count += int(c)
 		}
-		target := budget - cand // 0-based position of the first non-retained node
-		if !st.found && st.cum+count > target {
-			st.answer = bucket
-			st.found = true
-		}
-		st.cum += count
-		return nil
+		return emit(mr.EncodeUint64(cand), mr.EncodeFloat64(answer))
 	}
+}
+
+// histParams parameterizes job 1, the speculative histogram job.
+type histParams struct {
+	S, Budget, MaxCand, Reducers int
+	RootCoef                     []float64
+	RootOrder                    []int
+	Eb, Sanity                   float64
+	Rel                          bool
+}
+
+// dgreedyHistJob builds job 1: speculative histogram runs on the level-1
+// workers, combineResults on the level-2 reducers.
+func dgreedyHistJob(src Source, p histParams) *mr.Job {
+	return clusterJob(&mr.Job{
+		Name:      dgreedyHistJobName,
+		Splits:    chunkSplits(src.N(), p.S),
+		Reducers:  p.Reducers,
+		Partition: histPartition,
+		Map:       dgreedyHistMap(src, p),
+		Reduce:    makeCombineResults(p.Budget),
+	}, src, p)
 }
 
 // dgreedyHistMap builds the level-1 map function of job 1: one greedy run
 // per distinct incoming error, emitted as per-candidate error-bucket
-// histograms. All inputs are serializable, so the cluster variant
-// reconstructs the identical function from job parameters.
-func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, maxCand int, eb float64, rel bool, sanity float64) mr.MapFunc {
-	part, perr := errtree.PartitionRootBase(n, s)
+// histograms.
+func dgreedyHistMap(src Source, p histParams) mr.MapFunc {
+	s, rootCoef, rootOrder, eb, rel := p.S, p.RootCoef, p.RootOrder, p.Eb, p.Rel
+	part, perr := errtree.PartitionRootBase(src.N(), s)
 	return func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 		if perr != nil {
 			return perr
@@ -383,7 +386,7 @@ func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, m
 		}
 		var den []float64
 		if rel {
-			den = greedy.Denominators(chunk, sanity)
+			den = greedy.Denominators(chunk, p.Sanity)
 		}
 		signs := part.RootPathSigns(j)
 		// Incoming error per candidate, updated incrementally as the
@@ -414,7 +417,7 @@ func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, m
 			return h, nil
 		}
 		var kbuf, vbuf []byte // reused across emits: the engine copies
-		for i := 0; i <= maxCand; i++ {
+		for i := 0; i <= p.MaxCand; i++ {
 			if i > 0 {
 				// Candidate i additionally retains the node discarded at
 				// step R - i of the root run.
@@ -427,31 +430,44 @@ func dgreedyHistMap(src Source, n, s int, rootCoef []float64, rootOrder []int, m
 			if err != nil {
 				return err
 			}
+			kbuf = mr.AppendOrderedUvarint(kbuf[:0], uint64(i))
 			for _, h := range hist {
-				kbuf = appendHistKey(kbuf[:0], i, h.Bucket)
-				vbuf = mr.AppendUvarint(vbuf[:0], uint64(h.Count))
+				vbuf = appendHistRecord(vbuf[:0], h)
 				if err := emit(kbuf, vbuf); err != nil {
 					return err
 				}
 				ctx.Counters.Add("dgreedy.hist_records", 1)
-			}
-			if j == 0 {
-				// Sentinel closing candidate i's stream (sorts last).
-				kbuf = appendHistKey(kbuf[:0], i, math.Inf(-1))
-				vbuf = mr.AppendUvarint(vbuf[:0], 0)
-				if err := emit(kbuf, vbuf); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
 	}
 }
 
+// selParams parameterizes job 2, the synopsis materialization job.
+type selParams struct {
+	S                  int
+	RootCoef           []float64
+	RetainRoot         map[int]bool
+	Cutoff, Eb, Sanity float64
+	Rel                bool
+}
+
+// dgreedySelectJob builds job 2: materialize the synopsis for the winning
+// candidate.
+func dgreedySelectJob(src Source, p selParams) *mr.Job {
+	return clusterJob(&mr.Job{
+		Name:     dgreedySelJobName,
+		Splits:   chunkSplits(src.N(), p.S),
+		Map:      dgreedySelectMap(src, p),
+		Reducers: 1,
+	}, src, p)
+}
+
 // dgreedySelectMap builds the map function of job 2: a single greedy run
 // per base sub-tree for the winning candidate, emitting only node groups
 // whose bucketed running-max error clears the winning estimate.
-func dgreedySelectMap(src Source, n, s int, rootCoef []float64, retainRoot map[int]bool, cutoff, eb float64, rel bool, sanity float64) mr.MapFunc {
+func dgreedySelectMap(src Source, p selParams) mr.MapFunc {
+	n, s, cutoff, eb := src.N(), p.S, p.Cutoff, p.Eb
 	part, perr := errtree.PartitionRootBase(n, s)
 	return func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 		if perr != nil {
@@ -469,10 +485,10 @@ func dgreedySelectMap(src Source, n, s int, rootCoef []float64, retainRoot map[i
 		if err != nil {
 			return err
 		}
-		eIn := part.IncomingError(j, rootCoef, retainRoot)
+		eIn := part.IncomingError(j, p.RootCoef, p.RetainRoot)
 		var steps []greedy.Step
-		if rel {
-			steps, err = greedy.RunRel(details, greedy.Denominators(chunk, sanity), greedy.Options{InitialErr: eIn})
+		if p.Rel {
+			steps, err = greedy.RunRel(details, greedy.Denominators(chunk, p.Sanity), greedy.Options{InitialErr: eIn})
 		} else {
 			steps, err = greedy.RunAbs(details, greedy.Options{InitialErr: eIn})
 		}

@@ -235,7 +235,7 @@ func ChunkMeans(src Source, s int, eng mr.Engine) ([]float64, mr.Metrics, error)
 
 func chunkMeans(src Source, s int, eng mr.Engine, parent *obs.Span) ([]float64, mr.Metrics, error) {
 	n := src.N()
-	res, err := runJob(eng, chunkMeansJob(src, n, s), parent)
+	res, err := runJob(eng, chunkMeansJob(src, s), parent)
 	if err != nil {
 		return nil, mr.Metrics{}, err
 	}
@@ -244,6 +244,31 @@ func chunkMeans(src Source, s int, eng mr.Engine, parent *obs.Span) ([]float64, 
 		means[mr.DecodeUint64(kv.Key)] = mr.DecodeFloat64(kv.Value)
 	}
 	return means, res.Metrics, nil
+}
+
+// chunkMeansJob builds the chunk-means job over aligned chunks of size s.
+func chunkMeansJob(src Source, s int) *mr.Job {
+	return clusterJob(&mr.Job{
+		Name:   meansJobName,
+		Splits: chunkSplits(src.N(), s),
+		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
+			idx, err := chunkIndex(split)
+			if err != nil {
+				return err
+			}
+			chunk, err := src.Chunk(idx*s, (idx+1)*s)
+			if err != nil {
+				return err
+			}
+			var sum float64
+			for _, v := range chunk {
+				sum += v
+			}
+			ctx.Counters.Add("means.rows_read", int64(len(chunk)))
+			return emit(mr.EncodeUint64(uint64(idx)), mr.EncodeFloat64(sum/float64(s)))
+		},
+		Reducers: 1,
+	}, src, s)
 }
 
 // EvaluateMaxAbs measures the exact maximum absolute error of a synopsis
@@ -270,7 +295,7 @@ func evaluateMax(src Source, syn *synopsis.Synopsis, chunk int, eng mr.Engine, s
 	if syn.N != n {
 		return 0, mr.Metrics{}, fmt.Errorf("dist: synopsis over %d values, source has %d", syn.N, n)
 	}
-	res, err := runJob(eng, evaluateMaxJob(src, syn, chunk, sanity), parent)
+	res, err := runJob(eng, evaluateMaxJob(src, evalParams{Syn: syn, Chunk: chunk, Sanity: sanity}), parent)
 	if err != nil {
 		return 0, mr.Metrics{}, err
 	}
@@ -280,13 +305,21 @@ func evaluateMax(src Source, syn *synopsis.Synopsis, chunk int, eng mr.Engine, s
 	return mr.DecodeFloat64(res.Partitions[0][0].Value), res.Metrics, nil
 }
 
-// evaluateMaxJob builds the evaluation job (shared by the local and
-// cluster paths).
-func evaluateMaxJob(src Source, syn *synopsis.Synopsis, chunk int, sanity float64) *mr.Job {
+// evalParams parameterizes the evaluation job; Sanity == 0 selects the
+// absolute metric.
+type evalParams struct {
+	Syn    *synopsis.Synopsis
+	Chunk  int
+	Sanity float64
+}
+
+// evaluateMaxJob builds the evaluation job.
+func evaluateMaxJob(src Source, p evalParams) *mr.Job {
 	n := src.N()
-	terms := syn.Map()
+	chunk, sanity := p.Chunk, p.Sanity
+	terms := p.Syn.Map()
 	job := &mr.Job{
-		Name:   "evaluate-maxabs",
+		Name:   evalJobName,
 		Splits: chunkSplits(n, chunk),
 		Map: func(ctx mr.TaskContext, split mr.Split, emit mr.Emit) error {
 			idx, err := chunkIndex(split)
@@ -360,7 +393,7 @@ func evaluateMaxJob(src Source, syn *synopsis.Synopsis, chunk int, sanity float6
 		},
 		Reducers: 1,
 	}
-	return job
+	return clusterJob(job, src, p)
 }
 
 // padCheck validates n is a power of two, returning a friendly error

@@ -321,11 +321,11 @@ func TestDGreedyAbsWithFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failedOnce := map[[2]int]bool{}
+	// Stateless: concurrent attempts call the injector, so it must not
+	// write captured state. Every job's first attempt of every third map
+	// task fails; the retry succeeds.
 	eng := &mr.Local{FailureInjector: func(kind string, ctx mr.TaskContext) error {
-		k := [2]int{ctx.TaskID, ctx.Attempt}
-		if kind == "map" && ctx.TaskID%3 == 0 && ctx.Attempt == 1 && !failedOnce[k] {
-			failedOnce[k] = true
+		if kind == "map" && ctx.TaskID%3 == 0 && ctx.Attempt == 1 {
 			return errors.New("injected map failure")
 		}
 		return nil

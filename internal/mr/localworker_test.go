@@ -34,7 +34,7 @@ func startLocalCluster(t *testing.T, workers int) *Coordinator {
 func TestLocalWorkersMatchLocal(t *testing.T) {
 	texts := []string{"the quick brown fox", "jumps over the lazy dog", "the end"}
 	c := startLocalCluster(t, 3)
-	clusterRes, err := c.Run("tcp-wordcount", MustGobEncode(texts))
+	clusterRes, err := runRegistered(c, "tcp-wordcount", MustGobEncode(texts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestMixedFleetMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clusterRes, err := c.Run("tcp-wordcount", MustGobEncode(texts))
+	clusterRes, err := runRegistered(c, "tcp-wordcount", MustGobEncode(texts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMixedFleetMatchesLocal(t *testing.T) {
 func TestLocalWorkerCountersMatchLocal(t *testing.T) {
 	c := startLocalCluster(t, 2)
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b a", "c c", "a d e"}})
-	clusterRes, err := c.Run("fault-count", params)
+	clusterRes, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestLocalWorkerCountersMatchLocal(t *testing.T) {
 
 func TestLocalWorkerTaskFailureSurfaces(t *testing.T) {
 	c := startLocalCluster(t, 2)
-	_, err := c.Run("tcp-flaky", nil)
+	_, err := runRegistered(c, "tcp-flaky", []byte("unused"))
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want worker panic error", err)
 	}
@@ -137,7 +137,7 @@ func TestLocalWorkerChaosTaskFail(t *testing.T) {
 	chaos.Enable(in)
 	defer chaos.Disable()
 	c := startLocalCluster(t, 2)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLocalWorkerChaosSendFails(t *testing.T) {
 			chaos.Enable(in)
 			defer chaos.Disable()
 			c := startLocalCluster(t, 2)
-			res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"p q", "q"}))
+			res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"p q", "q"}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestLocalWorkerDetach(t *testing.T) {
 	}
 	detach()
 	detach()
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestAttachLocalWorkerAfterClose(t *testing.T) {
 func TestLocalWorkerRepeatedRuns(t *testing.T) {
 	c := startLocalCluster(t, 2)
 	for i := 0; i < 5; i++ {
-		res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"m n", "n"}))
+		res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"m n", "n"}))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -67,7 +67,12 @@ type Split struct {
 
 // Job describes one MapReduce execution.
 type Job struct {
-	Name     string
+	Name string
+	// Params is the blob the factory registered under Name rebuilds this
+	// job from (see RegisterJob). Only the Coordinator reads it: it ships
+	// Name and Params to workers, which cannot receive Go closures. Nil
+	// for jobs that run only on in-process engines.
+	Params   []byte
 	Splits   []Split
 	Map      MapFunc
 	Reduce   ReduceFunc // nil: identity (map output passed through)

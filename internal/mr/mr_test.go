@@ -142,12 +142,12 @@ func TestLocalCustomCompareAndPartition(t *testing.T) {
 }
 
 func TestLocalRetryOnInjectedFailure(t *testing.T) {
-	fails := map[string]bool{}
+	// Stateless: concurrent attempts call the injector, so it must not
+	// write captured state. The first attempt of map and reduce task 1
+	// fails; the retry succeeds.
 	eng := &Local{
 		FailureInjector: func(kind string, ctx TaskContext) error {
-			k := fmt.Sprintf("%s-%d", kind, ctx.TaskID)
-			if !fails[k] && ctx.TaskID == 1 {
-				fails[k] = true
+			if ctx.TaskID == 1 && ctx.Attempt == 1 {
 				return errors.New("injected")
 			}
 			return nil

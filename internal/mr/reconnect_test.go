@@ -2,6 +2,7 @@ package mr
 
 import (
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -48,7 +49,7 @@ func TestWorkerReconnectsAfterConnectionLoss(t *testing.T) {
 	retries0 := obsTaskRetries.Value()
 
 	params := MustGobEncode(faultJobParams{Texts: []string{"a b a", "c c", "a d e"}})
-	clusterRes, err := c.Run("fault-count", params)
+	clusterRes, err := runRegistered(c, "fault-count", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,11 @@ func TestWorkerSingleSessionKeepsContract(t *testing.T) {
 		t.Fatal("dial failure must surface in single-session mode")
 	}
 
-	// A server that accepts, reads the preamble + hello, then closes: the
-	// worker must report nil (EOF is a clean end in single-session mode).
+	// A server that accepts and hangs up: the worker must report nil (EOF
+	// is a clean end in single-session mode). The fake half-closes and
+	// drains until the worker closes too: closing a socket with unread
+	// worker bytes (hello, heartbeats) makes the kernel send RST, not FIN,
+	// and a reset is a transport error, not a coordinator-side close.
 	ln, err = net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +130,9 @@ func TestWorkerSingleSessionKeepsContract(t *testing.T) {
 		if err != nil {
 			return
 		}
-		buf := make([]byte, 1<<10)
-		conn.Read(buf)
-		time.Sleep(20 * time.Millisecond)
-		conn.Close()
+		defer conn.Close()
+		conn.(*net.TCPConn).CloseWrite()
+		io.Copy(io.Discard, conn)
 	}()
 	if err := Serve(ln.Addr().String(), "w", nil); err != nil && !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("coordinator-side close must report nil, got %v", err)

@@ -8,9 +8,11 @@ import (
 
 // JobFactory instantiates a fully-wired Job (splits, map, reduce,
 // partitioner) from an opaque parameter blob. Cluster workers cannot
-// receive Go functions over the wire, so both the coordinator and every
-// worker construct the job locally through the same registered factory —
-// the moral equivalent of shipping the same job JAR to every Hadoop node.
+// receive Go functions over the wire, so every worker constructs the job
+// locally through the registered factory — the moral equivalent of
+// shipping the same job JAR to every Hadoop node. The factory should call
+// the same constructor the driver used to build the Job it hands to the
+// Coordinator, so both sides run identical code.
 type JobFactory func(params []byte) (*Job, error)
 
 var (
@@ -29,7 +31,8 @@ func RegisterJob(name string, f JobFactory) {
 	registry[name] = f
 }
 
-// LookupJob instantiates a registered job.
+// LookupJob instantiates a registered job and stamps it with name and
+// params, so the result can be handed to a Coordinator as is.
 func LookupJob(name string, params []byte) (*Job, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
@@ -37,12 +40,17 @@ func LookupJob(name string, params []byte) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("mr: unknown job %q (registered: %v)", name, RegisteredJobs())
 	}
-	return f(params)
+	job, err := f(params)
+	if err != nil {
+		return nil, err
+	}
+	job.Name, job.Params = name, params
+	return job, nil
 }
 
-// HasJob reports whether a job factory is registered under name. Cluster
-// drivers use it to fail fast before shipping tasks whose job no worker
-// (built from the same binary) could instantiate.
+// HasJob reports whether a job factory is registered under name. The
+// Coordinator uses it to fail fast before shipping tasks whose job no
+// worker (built from the same binary) could instantiate.
 func HasJob(name string) bool {
 	registryMu.RLock()
 	defer registryMu.RUnlock()

@@ -100,11 +100,6 @@ type Coordinator struct {
 	// to this long so self-healing workers (WorkerOptions.ReconnectMax)
 	// can re-register. 0 keeps the fail-fast behavior.
 	RejoinGrace time.Duration
-	// Options applies to every Run (RunWith overrides it per call). Like
-	// the tuning fields it must be set before the first Run — it exists so
-	// drivers holding a *Coordinator can plug a trace in without changing
-	// their call signatures.
-	Options JobOptions
 
 	monitorOnce sync.Once
 
@@ -114,6 +109,8 @@ type Coordinator struct {
 	closed  bool          // guarded by mu
 	done    chan struct{}
 }
+
+var _ TracingEngine = (*Coordinator)(nil)
 
 // taskOutcome is what an in-flight exchange resolves to.
 type taskOutcome struct {
@@ -716,33 +713,37 @@ func (c *Coordinator) runTask(task wireTask, phase *obs.Span) (wireReply, []Task
 	}
 }
 
-// Run executes a registered job across the cluster. The coordinator also
-// instantiates the job locally for the shuffle's partitioner/comparator.
-func (c *Coordinator) Run(jobName string, params []byte) (*Result, error) {
-	return c.RunWith(jobName, params, c.Options)
+// Run executes job across the cluster. The coordinator uses the job's own
+// splits, partitioner and comparator; workers rebuild it from the factory
+// registered under job.Name, fed job.Params (see LookupJob). A job that
+// is not registered or carries no Params fails before any task is sent.
+func (c *Coordinator) Run(job *Job) (*Result, error) {
+	return c.RunWith(job, JobOptions{})
 }
 
-// RunWith is Run with explicit per-call options (overriding c.Options).
-func (c *Coordinator) RunWith(jobName string, params []byte, opts JobOptions) (*Result, error) {
-	job, err := LookupJob(jobName, params)
-	if err != nil {
-		return nil, err
-	}
+// RunWith is Run with per-run options.
+func (c *Coordinator) RunWith(job *Job, opts JobOptions) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
+	}
+	if !HasJob(job.Name) {
+		return nil, fmt.Errorf("mr: job %q is not registered, so workers cannot rebuild it", job.Name)
+	}
+	if len(job.Params) == 0 {
+		return nil, fmt.Errorf("mr: job %q has no Params to rebuild it from on a worker", job.Name)
 	}
 	c.ensureMonitor()
 	if err := c.waitReady(10 * time.Second); err != nil {
 		return nil, err
 	}
 	obsJobsRun.Inc()
-	jobSpan := opts.Trace.Child("job:" + jobName)
+	jobSpan := opts.Trace.Child("job:" + job.Name)
 	defer jobSpan.End()
 	jobSpan.SetStr("engine", "cluster")
 	jobSpan.SetInt("splits", int64(len(job.Splits)))
 	start := time.Now()
 	res := &Result{}
-	res.Metrics.Job = jobName
+	res.Metrics.Job = job.Name
 	nred := job.reducers()
 
 	// ---- Map phase (parallel across workers) ----
@@ -758,7 +759,7 @@ func (c *Coordinator) RunWith(jobName string, params []byte, opts JobOptions) (*
 	for i, split := range job.Splits {
 		go func(i int, split Split) {
 			reply, stats, err := c.runTask(wireTask{
-				Kind: "map", JobName: jobName, Params: params,
+				Kind: "map", JobName: job.Name, Params: job.Params,
 				TaskID: i, Split: split, Reducers: nred,
 			}, mapSpan)
 			results <- mapResult{id: i, parts: reply.Parts, stats: stats, counters: reply.Counters, err: err}
@@ -823,7 +824,7 @@ func (c *Coordinator) RunWith(jobName string, params []byte, opts JobOptions) (*
 		for p := 0; p < nred; p++ {
 			go func(p int) {
 				reply, stats, err := c.runTask(wireTask{
-					Kind: "reduce", JobName: jobName, Params: params,
+					Kind: "reduce", JobName: job.Name, Params: job.Params,
 					TaskID: p, Bucket: buckets[p], Reducers: nred,
 				}, reduceSpan)
 				rch <- redResult{id: p, out: reply.Out, stats: stats, counters: reply.Counters, err: err}

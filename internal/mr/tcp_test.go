@@ -47,7 +47,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 	texts := []string{"the quick brown fox", "jumps over the lazy dog", "the end"}
 	c := startCluster(t, 3)
 	params := MustGobEncode(texts)
-	clusterRes, err := c.Run("tcp-wordcount", params)
+	clusterRes, err := runRegistered(c, "tcp-wordcount", params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 
 func TestClusterSingleWorkerHandlesAllTasks(t *testing.T) {
 	c := startCluster(t, 1)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"x y", "y z", "z z"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"x y", "y z", "z z"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +87,41 @@ func TestClusterSingleWorkerHandlesAllTasks(t *testing.T) {
 
 func TestClusterTaskFailureSurfaces(t *testing.T) {
 	c := startCluster(t, 2)
-	_, err := c.Run("tcp-flaky", nil)
+	_, err := runRegistered(c, "tcp-flaky", []byte("unused"))
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want worker panic error", err)
 	}
 }
 
+// TestClusterUnknownJob: a job workers could not rebuild — unregistered,
+// or registered but without Params — fails with an error naming it before
+// any task is launched.
 func TestClusterUnknownJob(t *testing.T) {
 	c := startCluster(t, 1)
-	if _, err := c.Run("no-such-job", nil); err == nil {
-		t.Fatal("unknown job accepted")
+	launched0 := obsTasksLaunched.Value()
+	unregistered := wordCountJob([]string{"a b"}, 1)
+	unregistered.Name, unregistered.Params = "no-such-job", []byte("unused")
+	noParams := wordCountJob([]string{"a b"}, 1)
+	noParams.Name = "tcp-wordcount"
+	for _, job := range []*Job{unregistered, noParams} {
+		_, err := c.Run(job)
+		if err == nil || !strings.Contains(err.Error(), job.Name) {
+			t.Fatalf("job %q: err = %v, want an error naming it", job.Name, err)
+		}
 	}
+	if d := obsTasksLaunched.Value() - launched0; d != 0 {
+		t.Fatalf("%d tasks launched for jobs no worker can rebuild", d)
+	}
+}
+
+// runRegistered rebuilds a registered job through LookupJob, as a driver
+// does, and runs it on c.
+func runRegistered(c *Coordinator, name string, params []byte) (*Result, error) {
+	job, err := LookupJob(name, params)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(job)
 }
 
 func TestClusterWaitForWorkersTimeout(t *testing.T) {
@@ -129,7 +153,7 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	// sent to it fails, and the coordinator reassigns to the survivor.
 	close(stopA)
 	time.Sleep(20 * time.Millisecond)
-	res, err := c.Run("tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
+	res, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"a a", "b", "c c"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +177,7 @@ func TestClusterAllWorkersDead(t *testing.T) {
 	}
 	close(stop)
 	time.Sleep(20 * time.Millisecond)
-	if _, err := c.Run("tcp-wordcount", MustGobEncode([]string{"x"})); err == nil {
+	if _, err := runRegistered(c, "tcp-wordcount", MustGobEncode([]string{"x"})); err == nil {
 		t.Fatal("job succeeded with every worker dead")
 	}
 }

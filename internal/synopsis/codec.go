@@ -23,6 +23,11 @@ import (
 
 var codecMagic = [4]byte{'D', 'W', 'S', '1'}
 
+// maxN caps the data vector length Read accepts: 2^32 values, 32 GiB
+// dense. Larger headers are corrupt or hostile, and a reader would try to
+// reconstruct them.
+const maxN = 1 << 32
+
 // WriteTo serializes the synopsis. Terms must be normalized (sorted by
 // index); Write normalizes a copy if needed.
 func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
@@ -63,7 +68,9 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// Read deserializes a synopsis written by WriteTo.
+// Read deserializes a synopsis written by WriteTo. It rejects input no
+// WriteTo could produce: n not a power of two or above 2^32, more terms
+// than n, or indices that do not increase strictly inside [0, n).
 func Read(r io.Reader) (*Synopsis, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -77,29 +84,31 @@ func Read(r io.Reader) (*Synopsis, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("synopsis: reading header: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[0:]))
-	terms := int(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || terms < 0 || terms > n {
+	n := binary.LittleEndian.Uint64(hdr[0:])
+	terms := binary.LittleEndian.Uint64(hdr[8:])
+	if n == 0 || n > maxN || n&(n-1) != 0 || terms > n {
 		return nil, fmt.Errorf("synopsis: implausible header n=%d terms=%d", n, terms)
 	}
-	s := New(n)
-	prev := 0
+	s := New(int(n))
+	var prev uint64 // index of the previous term
 	var valBuf [8]byte
-	for i := 0; i < terms; i++ {
+	for i := uint64(0); i < terms; i++ {
 		delta, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("synopsis: term %d index: %w", i, err)
 		}
-		idx := prev + int(delta)
-		prev = idx
-		if idx >= n {
-			return nil, fmt.Errorf("synopsis: term %d index %d out of range", i, idx)
+		// Indices increase strictly: every delta after the first is
+		// positive, and none may step past n-1.
+		if (i > 0 && delta == 0) || delta > n-1-prev {
+			return nil, fmt.Errorf("synopsis: term %d index delta %d out of range after index %d (n=%d)", i, delta, prev, n)
 		}
+		idx := prev + delta
+		prev = idx
 		if _, err := io.ReadFull(br, valBuf[:]); err != nil {
 			return nil, fmt.Errorf("synopsis: term %d value: %w", i, err)
 		}
 		s.Terms = append(s.Terms, Coefficient{
-			Index: idx,
+			Index: int(idx),
 			Value: math.Float64frombits(binary.LittleEndian.Uint64(valBuf[:])),
 		})
 	}

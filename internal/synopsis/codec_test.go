@@ -2,6 +2,7 @@ package synopsis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -74,6 +75,82 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	if _, err := Read(bytes.NewReader(raw)); err == nil {
 		t.Fatal("inflated term count accepted")
 	}
+	// Headers and index deltas no WriteTo could produce: errors, never
+	// terms outside [0, n).
+	for name, raw := range map[string][]byte{
+		"delta wraps below zero": encodeRaw(8, 1, 1<<64-5),
+		"delta past n-1":         encodeRaw(8, 1, 8),
+		"second delta past n-1":  encodeRaw(8, 2, 3, 5),
+		"repeated index":         encodeRaw(8, 2, 3, 0),
+		"n not a power of two":   encodeRaw(12, 1, 3),
+		"n zero":                 encodeRaw(0, 0),
+		"n above the cap":        encodeRaw(maxN*2, 0),
+	} {
+		if s, err := Read(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, s)
+		}
+	}
+	if s, err := Read(bytes.NewReader(encodeRaw(8, 2, 0, 7))); err != nil || s.Terms[1].Index != 7 {
+		t.Fatalf("indices 0 and 7 of n=8: %+v, %v", s, err)
+	}
+}
+
+// encodeRaw writes a synopsis file with the given header and index
+// deltas (each term's value is 1), bypassing WriteTo's checks.
+func encodeRaw(n, terms uint64, deltas ...uint64) []byte {
+	b := append([]byte(nil), codecMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, n)
+	b = binary.LittleEndian.AppendUint64(b, terms)
+	for _, d := range deltas {
+		b = binary.AppendUvarint(b, d)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	}
+	return b
+}
+
+// FuzzRead: Read never panics, everything it accepts is a well-formed
+// synopsis (n a power of two within the cap, indices strictly increasing
+// inside [0, n)), and it survives a write/read round trip unchanged. The
+// committed corpus (testdata/fuzz/FuzzRead) holds the wrapped-delta file
+// that once decoded to index -5.
+func FuzzRead(f *testing.F) {
+	valid := New(16)
+	valid.Terms = []Coefficient{{0, 2.5}, {3, -1}, {15, math.Inf(1)}}
+	var buf bytes.Buffer
+	valid.WriteTo(&buf)
+	f.Add(buf.Bytes())
+	f.Add(encodeRaw(8, 1, 1<<64-5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if s.N <= 0 || uint64(s.N) > maxN || !wavelet.IsPowerOfTwo(s.N) {
+			t.Fatalf("accepted n=%d", s.N)
+		}
+		for i, term := range s.Terms {
+			if term.Index < 0 || term.Index >= s.N || (i > 0 && term.Index <= s.Terms[i-1].Index) {
+				t.Fatalf("term %d index %d out of order or range (n=%d)", i, term.Index, s.N)
+			}
+		}
+		if s.N <= 1<<12 {
+			s.Dense()
+		}
+		var first, second bytes.Buffer
+		if _, err := s.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading own encoding: %v", err)
+		}
+		if _, err := back.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if back.N != s.N || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the synopsis: %+v -> %+v", s, back)
+		}
+	})
 }
 
 func TestCodecEmptySynopsis(t *testing.T) {
